@@ -92,8 +92,8 @@ ACCURACY_FAMILIES = [
     PatternFamily.TBS,
 ]
 
-#: Canonical experiment-cell names, one per paper table/figure.  This is
-#: the registry the fault-tolerant runner and the CLI dispatch on.
+#: Canonical experiment names, one per paper table/figure: the registry
+#: :func:`run_experiment` and the CLI dispatch on.
 EXPERIMENTS = (
     "table1",
     "table2",
@@ -130,61 +130,83 @@ def run_experiment(
 
     One entry point per :data:`EXPERIMENTS` cell, with the three size
     knobs every driver understands.  Returns whatever the underlying
-    driver returns (plain dicts/lists, picklable), so the fault-tolerant
-    runner (:class:`repro.runtime.runner.ExperimentRunner`) can cache
-    cells on disk and ``repro report all`` can resume mid-sweep.
-    Rendering stays in :mod:`repro.cli`.
+    driver returns (plain dicts/lists, picklable).  Rendering stays in
+    :mod:`repro.cli`.
 
-    ``workers``/``cache_dir``/``resume`` thread through to the
-    grid-shaped drivers (table1, table2, fig13, fig15, fig17), which
-    shard their cells across the sweep engine; single-shot drivers
-    ignore them.
+    Every experiment runs through the sweep engine, so ``cache_dir`` and
+    ``resume`` give all of them one content-addressed cell cache: the
+    grid-shaped drivers cache one entry per grid point, and each
+    single-shot driver runs as one cell keyed by the experiment name.
+    ``workers`` shards the grid drivers' cells.
     """
     seeds = tuple(seeds)
-    sweep = dict(workers=workers, cache_dir=cache_dir, resume=resume, options=options)
+    cache = dict(cache_dir=cache_dir, resume=resume, options=options)
+    sweep = dict(workers=workers, **cache)
+    single_shot = {
+        "table3": (run_table3, {}),
+        "fig1": (run_fig1_pareto, {"seeds": seeds, "epochs": epochs, "scale": scale}),
+        "fig4": (run_fig4_maskspace, {}),
+        "fig6": (run_fig6_datapath_power, {}),
+        "fig7": (run_fig7_bandwidth, {}),
+        "fig12": (run_fig12_layerwise, {"scale": scale}),
+        "fig14": (run_fig14_breakdown, {"scale": scale}),
+        "fig16": (_fig16_cell, {"scale": scale}),
+        "fig18": (run_fig18_convergence, {"epochs": epochs}),
+    }
+    if name in single_shot:
+        fn, kwargs = single_shot[name]
+        return _single_cell(name, fn, kwargs, **cache)
     if name == "table1":
         return run_table1(seeds=seeds, epochs=epochs, **sweep)
     if name == "table2":
         return run_table2(seeds=seeds, epochs=epochs, **sweep)
-    if name == "table3":
-        return run_table3()
-    if name == "fig1":
-        return run_fig1_pareto(seeds=seeds, epochs=epochs, scale=scale)
-    if name == "fig4":
-        return run_fig4_maskspace()
-    if name == "fig6":
-        return run_fig6_datapath_power()
-    if name == "fig7":
-        return run_fig7_bandwidth()
     if name == "fig7both":
         return run_fig7_both_passes(**sweep)
-    if name == "fig12":
-        return run_fig12_layerwise(scale=scale)
     if name == "fig13":
         return run_fig13_end2end(scale=max(scale, 8), **sweep)
-    if name == "fig14":
-        return run_fig14_breakdown(scale=scale)
     if name == "fig15":
         return {
             "block_size": run_fig15_block_size(scale=scale, epochs=epochs, **sweep),
-            "quantization": run_fig15_quantization(epochs=epochs, scale=scale),
+            "quantization": _single_cell(
+                "fig15-quantization", run_fig15_quantization,
+                {"epochs": epochs, "scale": scale}, **cache,
+            ),
             "bandwidth": run_fig15_bandwidth(scale=scale, **sweep),
             "sparsity_sweep": run_fig15_sparsity_sweep(scale=scale, **sweep),
         }
-    if name == "fig16":
-        return {
-            "codec": run_fig16_codec_ablation(scale=scale),
-            "scheduling": run_fig16_scheduling_ablation(scale=scale),
-        }
     if name == "fig17":
         return run_fig17_distribution(**sweep)
-    if name == "fig18":
-        return run_fig18_convergence(epochs=epochs)
     if name == "wide":
         return run_wide_oneshot(scale=scale, **sweep)
     if name == "scenarios":
         return run_scenarios(scale=max(scale, 8), families=families, **sweep)
     raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
+
+
+def _single_cell(
+    key: str,
+    fn,
+    kwargs: Dict[str, Any],
+    cache_dir: Optional[str] = None,
+    resume: bool = False,
+    options: Optional[SweepOptions] = None,
+):
+    """Run a single-shot driver as a one-cell sweep keyed ``key``.
+
+    The cell shares the grid drivers' cache and resume path: its entry
+    is ``{key}-{hash}.pkl`` in ``cache_dir``, hashed over the driver
+    and its exact kwargs.  It runs inline unless ``options`` asks for
+    the supervised executor.
+    """
+    sweep = run_sweep(
+        SweepSpec(key, (SweepCell(key=key, fn=fn, kwargs=kwargs),)),
+        workers=1,
+        cache_dir=cache_dir,
+        resume=resume,
+        options=options,
+        strict=True,
+    )
+    return sweep.value(key)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,6 +1091,14 @@ def run_fig16_scheduling_ablation(
             "gain": full.compute_utilization / max(1e-9, unscheduled.compute_utilization),
         },
         "fan_edp": {"normalized": fan.edp / full.edp},
+    }
+
+
+def _fig16_cell(scale: int = 4) -> Dict[str, Any]:
+    """Fig. 16 as one cell: both ablations at the same layer scale."""
+    return {
+        "codec": run_fig16_codec_ablation(scale=scale),
+        "scheduling": run_fig16_scheduling_ablation(scale=scale),
     }
 
 

@@ -4,12 +4,14 @@ Eight commands:
 
 * ``report`` -- run one (or all) of the paper's experiments and print
   its table(s); experiment names follow the paper (``table1`` ...
-  ``fig18``).  Experiments run through the fault-tolerant runner
-  (:mod:`repro.runtime.runner`): a crash in one figure no longer kills
-  the sweep, and with ``--checkpoint-dir``/``--resume`` completed cells
-  are cached on disk and replayed instead of recomputed.  ``--workers N``
-  shards the grid-shaped experiments inside each figure across a
-  process pool (:mod:`repro.sweep`) without changing the numbers.
+  ``fig18``).  Every experiment runs through the sweep engine
+  (:mod:`repro.sweep`): a failure in one figure no longer stops
+  ``report all``, and with ``--checkpoint-dir``/``--resume`` every
+  finished cell (one per grid point, or one per single-shot figure) is
+  cached on disk and replayed instead of recomputed, so a killed run
+  resumes where it stopped.  ``--workers N`` shards the grid-shaped
+  experiments inside each figure across a process pool without changing
+  the numbers.
 * ``sweep`` -- run one experiment directly through the parallel sweep
   engine with per-cell progress, ``--workers N`` sharding, and a
   ``--cache-dir``/``--resume`` cell cache; ``--json`` prints the raw
@@ -139,9 +141,8 @@ def _add_workers_flag(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_supervision_flags(cmd: argparse.ArgumentParser, retries: bool = True) -> None:
-    """``--executor``/``--timeout`` (plus ``--retries`` unless the command
-    already defines its own) for the sweep supervision layer."""
+def _add_supervision_flags(cmd: argparse.ArgumentParser) -> None:
+    """``--executor``/``--timeout``/``--retries`` for the sweep supervision layer."""
     cmd.add_argument(
         "--executor", default=None, choices=["auto", "serial", "supervised"],
         help="sweep execution backend: 'serial' runs cells inline, "
@@ -154,13 +155,12 @@ def _add_supervision_flags(cmd: argparse.ArgumentParser, retries: bool = True) -
         help="per-cell deadline in seconds; an overrunning worker is killed "
         "and the cell classified 'timeout' (supervised executor only)",
     )
-    if retries:
-        cmd.add_argument(
-            "--retries", type=int, default=0,
-            help="extra attempts per sweep cell after a transient "
-            "crashed/timeout outcome (deterministic failures are never "
-            "retried; default: 0)",
-        )
+    cmd.add_argument(
+        "--retries", type=int, default=0,
+        help="extra attempts per sweep cell after a transient "
+        "crashed/timeout outcome (deterministic failures are never "
+        "retried; default: 0)",
+    )
 
 
 def _add_metrics_flag(cmd: argparse.ArgumentParser) -> None:
@@ -193,12 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve cells already cached in --checkpoint-dir instead of recomputing",
     )
     report.add_argument(
-        "--retries", type=int, default=1,
-        help="extra attempts per experiment cell before it is declared "
-        "failed; also the per-sweep-cell retry budget for transient "
-        "crashed/timeout outcomes under the supervised executor",
-    )
-    report.add_argument(
         "--families", nargs="+", default=None, metavar="FAMILY",
         help="workload families for the 'scenarios' experiment "
         f"(default: all: {', '.join(_SCENARIO_FAMILIES)}; other "
@@ -208,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the raw experiment data as JSON instead of the rendered tables",
     )
-    _add_supervision_flags(report, retries=False)
+    _add_supervision_flags(report)
     _add_metrics_flag(report)
     _add_checks_flags(report, "runtime invariant level for mask/format checking")
 
@@ -335,13 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve cells already cached in --checkpoint-dir instead of recomputing",
     )
     faults.add_argument(
-        "--retries", type=int, default=0,
-        help="extra attempts per campaign cell after a transient "
-        "crashed/timeout outcome under the supervised executor "
-        "(deterministic classification failures are never retried; "
-        "default: 0)",
-    )
-    faults.add_argument(
         "--json", action="store_true",
         help="emit the campaign spec and per-cell counts as JSON",
     )
@@ -351,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         "print the table over the cells that settled (default: cell "
         "failures exit 1)",
     )
-    _add_supervision_flags(faults, retries=False)
+    _add_supervision_flags(faults)
     _add_metrics_flag(faults)
 
     perf = sub.add_parser("perf", help="run the benchmark suite / regression gate")
@@ -492,7 +479,7 @@ def _maybe_with_metrics(args, body) -> int:
     return rc
 
 
-def _sweep_options(args):
+def _sweep_options(args, progress=None):
     """Build the :class:`repro.sweep.SweepOptions` a command's supervision
     flags describe; raises ``ValueError`` on invalid combinations."""
     from .sweep import SweepOptions
@@ -501,6 +488,7 @@ def _sweep_options(args):
         executor=getattr(args, "executor", None),
         timeout=getattr(args, "timeout", None),
         retries=getattr(args, "retries", 0) or 0,
+        progress=progress,
     )
 
 
@@ -600,63 +588,72 @@ def _render_report(experiment: str, res) -> None:
 
 
 def _run_report(args) -> int:
+    import json
+    from collections import Counter
+
     from .analysis.experiments import run_experiment
-    from .runtime.runner import ExperimentRunner
 
     if args.seeds < 1:
         return _fail(f"--seeds must be >= 1, got {args.seeds}")
-    if args.retries < 0:
-        return _fail(f"--retries must be >= 0, got {args.retries}")
+    cells: Counter = Counter()  # settled cells of the running experiment
+
+    def count_cell(cell, done, total) -> None:
+        cells["cached" if cell.status == "cached" else "ok" if cell.ok else "failed"] += 1
+
     try:
-        options = _sweep_options(args)
+        options = _sweep_options(args, progress=count_cell)
     except ValueError as exc:
         return _fail(str(exc))
 
-    runner = ExperimentRunner(
-        cache_dir=args.checkpoint_dir, retries=args.retries, resume=args.resume
-    )
-
-    # ``workers`` and the sweep options ride in through a wrapper, NOT
-    # through ``runner.run`` kwargs: the runner's cache key hashes its
-    # kwargs, and execution knobs must never change what a cached
-    # experiment is (results are bit-identical at any N).
-    def run_with_workers(**kwargs):
-        return run_experiment(workers=args.workers, options=options, **kwargs)
-
     names = _EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    seeds = tuple(range(args.seeds))
+    # With --json, stdout carries only the payload.
+    log = sys.stderr if args.json else sys.stdout
+    totals: Counter = Counter()
     failures = []
     payload = {}
     for name in names:
-        kwargs = dict(name=name, seeds=seeds, epochs=args.epochs, scale=args.scale)
-        if name == "scenarios" and args.families:
-            # Part of what the experiment computes (unlike the execution
-            # knobs), so it must participate in the runner's cache key.
-            kwargs["families"] = tuple(args.families)
-        cell = runner.run(name, run_with_workers, **kwargs)
-        suffix = " (cached)" if cell.status == "cached" else ""
-        # With --json, stdout carries only the payload.
-        print(f"\n--- {name}{suffix} ---", file=sys.stderr if args.json else sys.stdout)
-        if not cell.ok:
-            print(
-                f"error: {name} failed after {cell.attempts} attempt(s): {cell.error}",
-                file=sys.stderr,
+        cells.clear()
+        try:
+            value = run_experiment(
+                name,
+                seeds=tuple(range(args.seeds)),
+                epochs=args.epochs,
+                scale=args.scale,
+                workers=args.workers,
+                cache_dir=args.checkpoint_dir,
+                resume=args.resume,
+                options=options,
+                families=tuple(args.families) if args.families else None,
             )
-            failures.append(name)
-            continue
-        if args.json:
-            payload[name] = cell.value
+        except Exception as exc:  # noqa: BLE001 - one failed figure must not stop `all`
+            value, error = None, exc
         else:
-            _render_report(name, cell.value)
+            error = None
+        suffix = " (cached)" if cells and set(cells) == {"cached"} else ""
+        print(f"\n--- {name}{suffix} ---", file=log)
+        if error is not None:
+            failed = getattr(error, "failures", None) or []
+            attempts = max((cell.attempts for cell in failed), default=1)
+            detail = failed[0].error if failed else f"{type(error).__name__}: {error}"
+            print(f"error: {name} failed after {attempts} attempt(s): {detail}", file=sys.stderr)
+            # A driver that raises before any cell settles still counts once.
+            cells["failed"] = max(cells["failed"], 1)
+            failures.append(name)
+        elif args.json:
+            payload[name] = value
+        else:
+            _render_report(name, value)
+        totals.update(cells)
     if args.json:
-        import json
-
         print(json.dumps(
             payload[names[0]] if len(names) == 1 and names[0] in payload else payload,
             sort_keys=True, default=repr,
         ))
-    if len(names) > 1:
-        print(f"\n[repro] {runner.summary()}", file=sys.stderr if args.json else sys.stdout)
+    print(
+        f"\n[repro] {totals['ok']} computed, {totals['cached']} from cache, "
+        f"{totals['failed']} failed",
+        file=sys.stderr,
+    )
     return 1 if failures else 0
 
 

@@ -23,9 +23,9 @@ from typing import List
 
 import numpy as np
 
-from ..core.blocks import extract_block, iter_blocks, scatter_block, split_into_blocks
+from ..core.blocks import iter_blocks, scatter_block, split_into_blocks
 from ..core.patterns import Direction
-from ..perf import timed, use_reference_impl
+from ..perf import timed
 from .base import (
     DDC_INFO_BYTES,
     VALUE_BYTES,
@@ -88,9 +88,6 @@ class DDCFormat(SparseFormat):
         block_meta: List[dict] = []
         payload_vals: List[np.ndarray] = []
         payload_idx: List[np.ndarray] = []
-        offset = 0
-        value_bytes = 0
-        index_bytes = 0
         segments: List[Segment] = []
 
         block_list = list(iter_blocks(rows, cols, m))
@@ -99,102 +96,66 @@ class DDCFormat(SparseFormat):
             segments.append(Segment(0, info_bytes))  # streamed Info table
         payload_base = info_bytes
 
-        if use_reference_impl():
-            for bidx in block_list:
-                block = extract_block(dense, bidx, m)
-                if tbs is not None:
-                    n = int(tbs.block_n[bidx.row, bidx.col])
-                    direction = Direction(int(tbs.block_direction[bidx.row, bidx.col]))
-                else:
-                    n, direction, _ = infer_block_pattern(block)
-
-                work = block if direction is Direction.ROW else block.T
-                vals = np.zeros((m, n))
-                idxs = np.zeros((m, n), dtype=np.int64)
-                for lane in range(m):
-                    nz = np.nonzero(work[lane])[0][:n]
-                    vals[lane, : nz.size] = work[lane, nz]
-                    idxs[lane, : nz.size] = nz
-                    # Pad unused slots with a repeat of the last index so the
-                    # decode scatter stays idempotent (value 0 writes).
-                    if nz.size < n and nz.size > 0:
-                        idxs[lane, nz.size :] = nz[-1]
-
-                count = m * n
-                v_bytes = count * VALUE_BYTES
-                i_bytes = _index_bytes(count, m)
-                block_meta.append(
-                    {"n": n, "direction": direction.value, "offset": offset, "row": bidx.row, "col": bidx.col}
-                )
-                payload_vals.append(vals)
-                payload_idx.append(idxs)
-                if v_bytes + i_bytes:
-                    segments.append(Segment(payload_base + offset, v_bytes + i_bytes))
-                offset += v_bytes + i_bytes
-                value_bytes += v_bytes
-                index_bytes += i_bytes
+        # Vectorized payload construction: pick every block's (n,
+        # direction), sort each lane's non-zeros to the front, and
+        # slice the per-block (m, n) payloads out of one batch.
+        flat = split_into_blocks(dense, m).reshape(-1, m, m)
+        if tbs is not None:
+            ns = tbs.block_n.reshape(-1).astype(np.int64)
+            dir_vals = tbs.block_direction.reshape(-1).astype(np.int64)
+            dir_row = dir_vals == Direction.ROW.value
         else:
-            # Vectorized payload construction: pick every block's (n,
-            # direction), sort each lane's non-zeros to the front, and
-            # slice the per-block (m, n) payloads out of one batch.
-            # Bit-exact with the loop above (equivalence suite).
-            flat = split_into_blocks(dense, m).reshape(-1, m, m)
-            if tbs is not None:
-                ns = tbs.block_n.reshape(-1).astype(np.int64)
-                dir_vals = tbs.block_direction.reshape(-1).astype(np.int64)
-                dir_row = dir_vals == Direction.ROW.value
-            else:
-                row_counts = np.count_nonzero(flat, axis=2)
-                col_counts = np.count_nonzero(flat, axis=1)
-                row_max = row_counts.max(axis=1)
-                col_max = col_counts.max(axis=1)
-                row_uniform = ((row_counts == 0) | (row_counts == row_max[:, None])).all(axis=1)
-                col_uniform = ((col_counts == 0) | (col_counts == col_max[:, None])).all(axis=1)
-                dir_row = row_uniform | (~col_uniform & (row_max <= col_max))
-                ns = np.where(dir_row, row_max, col_max)
-                dir_vals = np.where(
-                    dir_row, Direction.ROW.value, Direction.COL.value
-                ).astype(np.int64)
+            row_counts = np.count_nonzero(flat, axis=2)
+            col_counts = np.count_nonzero(flat, axis=1)
+            row_max = row_counts.max(axis=1)
+            col_max = col_counts.max(axis=1)
+            row_uniform = ((row_counts == 0) | (row_counts == row_max[:, None])).all(axis=1)
+            col_uniform = ((col_counts == 0) | (col_counts == col_max[:, None])).all(axis=1)
+            dir_row = row_uniform | (~col_uniform & (row_max <= col_max))
+            ns = np.where(dir_row, row_max, col_max)
+            dir_vals = np.where(
+                dir_row, Direction.ROW.value, Direction.COL.value
+            ).astype(np.int64)
 
-            work = np.where(dir_row[:, None, None], flat, flat.transpose(0, 2, 1))
-            # Stable sort on the zero predicate moves each lane's
-            # non-zeros to the front in ascending column order -- `order`
-            # holds their original indices, `vals_full` their values
-            # (zero in every padding slot by construction).
-            order = np.argsort(work == 0, axis=-1, kind="stable")
-            vals_full = np.take_along_axis(work, order, axis=-1)
-            counts = np.count_nonzero(work, axis=-1)
-            # Slot k >= count repeats the last non-zero's index (decode
-            # idempotence); empty lanes clip to slot 0, which stable
-            # argsort leaves at index 0.
-            clip = np.minimum(
-                np.arange(m)[None, None, :], np.maximum(counts[:, :, None] - 1, 0)
+        work = np.where(dir_row[:, None, None], flat, flat.transpose(0, 2, 1))
+        # Stable sort on the zero predicate moves each lane's
+        # non-zeros to the front in ascending column order -- `order`
+        # holds their original indices, `vals_full` their values
+        # (zero in every padding slot by construction).
+        order = np.argsort(work == 0, axis=-1, kind="stable")
+        vals_full = np.take_along_axis(work, order, axis=-1)
+        counts = np.count_nonzero(work, axis=-1)
+        # Slot k >= count repeats the last non-zero's index (decode
+        # idempotence); empty lanes clip to slot 0, which stable
+        # argsort leaves at index 0.
+        clip = np.minimum(
+            np.arange(m)[None, None, :], np.maximum(counts[:, :, None] - 1, 0)
+        )
+        idxs_full = np.take_along_axis(order, clip, axis=-1)
+
+        bits_per = max(1, int(math.ceil(math.log2(max(2, m)))))
+        counts_total = m * ns
+        v_bytes_arr = counts_total * VALUE_BYTES
+        i_bytes_arr = -(-(counts_total * bits_per) // 8)
+        blk_bytes = v_bytes_arr + i_bytes_arr
+        offsets = np.concatenate([[0], np.cumsum(blk_bytes)[:-1]])
+        value_bytes = int(v_bytes_arr.sum())
+        index_bytes = int(i_bytes_arr.sum())
+        for i, bidx in enumerate(block_list):
+            n = int(ns[i])
+            block_meta.append(
+                {
+                    "n": n,
+                    "direction": int(dir_vals[i]),
+                    "offset": int(offsets[i]),
+                    "row": bidx.row,
+                    "col": bidx.col,
+                }
             )
-            idxs_full = np.take_along_axis(order, clip, axis=-1)
-
-            bits_per = max(1, int(math.ceil(math.log2(max(2, m)))))
-            counts_total = m * ns
-            v_bytes_arr = counts_total * VALUE_BYTES
-            i_bytes_arr = -(-(counts_total * bits_per) // 8)
-            blk_bytes = v_bytes_arr + i_bytes_arr
-            offsets = np.concatenate([[0], np.cumsum(blk_bytes)[:-1]])
-            value_bytes = int(v_bytes_arr.sum())
-            index_bytes = int(i_bytes_arr.sum())
-            for i, bidx in enumerate(block_list):
-                n = int(ns[i])
-                block_meta.append(
-                    {
-                        "n": n,
-                        "direction": int(dir_vals[i]),
-                        "offset": int(offsets[i]),
-                        "row": bidx.row,
-                        "col": bidx.col,
-                    }
-                )
-                payload_vals.append(vals_full[i, :, :n].copy())
-                payload_idx.append(idxs_full[i, :, :n].copy())
-                if blk_bytes[i]:
-                    segments.append(Segment(payload_base + int(offsets[i]), int(blk_bytes[i])))
+            payload_vals.append(vals_full[i, :, :n].copy())
+            payload_idx.append(idxs_full[i, :, :n].copy())
+            if blk_bytes[i]:
+                segments.append(Segment(payload_base + int(offsets[i]), int(blk_bytes[i])))
 
         def _object_array(items: List) -> np.ndarray:
             arr = np.empty(len(items), dtype=object)

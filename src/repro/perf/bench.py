@@ -19,7 +19,7 @@ Output schema (``BENCH_<name>.json``)::
     {
       "schema": 1, "name": ..., "profile": "smoke|quick|full",
       "seed": ..., "python": ..., "platform": ...,
-      "reference_impl": false, "calibration_s": ...,
+      "calibration_s": ...,
       "benches": {name: {"wall_s", "normalized", "cells",
                          "cells_per_s", "stages"}},
       "total_wall_s": ..., "peak_rss_kb": ...
@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import use_reference_impl
 from .timers import capture, enabled_scope
 
 __all__ = [
@@ -480,7 +479,6 @@ def run_suite(
         "seed": seed,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "reference_impl": use_reference_impl(),
         "calibration_s": calibration_s,
         "benches": benches,
         "total_wall_s": total,

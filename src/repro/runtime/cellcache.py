@@ -1,12 +1,11 @@
 """Content-addressed on-disk cache for experiment/sweep cell results.
 
-This is the persistence layer shared by the fault-tolerant
-:class:`~repro.runtime.runner.ExperimentRunner` (coarse cells: one per
-paper table/figure) and the parallel sweep engine
-(:mod:`repro.sweep.engine`; fine cells: one per grid point).  One cell
--> one pickle file, published with the same atomic write-rename
-discipline as the training :class:`~repro.runtime.checkpoint
-.CheckpointStore`: a crash mid-write never corrupts an existing entry,
+This is the persistence layer of the sweep engine
+(:mod:`repro.sweep.engine`), and through it of every resumable command:
+``repro report``/``sweep``/``faults`` and the job service.  One cell (a
+grid point, or a whole single-shot figure) -> one pickle file,
+published with the same atomic write-rename discipline as the training
+:class:`~repro.runtime.checkpoint.CheckpointStore`: a crash mid-write never corrupts an existing entry,
 and a corrupt entry reads as a miss, never as an exception.
 
 **Cache key definition** (see DESIGN.md "Sweep cell cache"): the key is
@@ -108,15 +107,6 @@ class CellCache:
         if isinstance(obj, tuple) and len(obj) == 2 and obj[0] == _ENVELOPE_TAG:
             return True, obj[1]
         return True, obj  # legacy pre-envelope entry: the pickle IS the value
-
-    def read(self, path: Optional[Path]) -> Any:
-        """Cached value at ``path``, or None on miss/corruption.
-
-        Ambiguous for cells whose legitimate value is ``None`` -- kept
-        for callers that know their values are never ``None``; prefer
-        :meth:`read_hit`.
-        """
-        return self.read_hit(path)[1]
 
     @contextlib.contextmanager
     def write_lock(self, path: Path) -> Iterator[None]:

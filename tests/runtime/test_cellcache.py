@@ -21,9 +21,6 @@ class TestReadHit:
         path = cache.path("cell", {"x": 1})
         cache.write(path, None)
         assert cache.read_hit(path) == (True, None)
-        # The legacy value-only reader cannot tell this hit from a miss;
-        # that ambiguity is exactly why read_hit exists.
-        assert cache.read(path) is None
 
     def test_round_trip_through_envelope(self, tmp_path):
         cache = CellCache(tmp_path)

@@ -461,7 +461,7 @@ class TestJsonOutputs:
         assert not enabled()
         metrics = json.loads(path.read_text())
         assert metrics["schema_version"] == METRICS_SCHEMA
-        assert metrics["counters"]["runner.cells_ok"] == 1
+        assert metrics["counters"]["sweep.cells_ok"] == 3  # one per sparsity
 
     def test_sweep_metrics_identical_across_workers(self, tmp_path):
         """The acceptance contract: --metrics bytes don't depend on N."""
