@@ -234,7 +234,8 @@ def capture_layer_inputs(model, x: np.ndarray) -> Dict[int, np.ndarray]:
 
     Runs one forward pass and reads each layer's cached GEMM input: the
     raw input for Linear, the im2col patch matrix for Conv2d -- exactly
-    the reduction-dimension activations the criteria need.
+    the reduction-dimension activations the criteria need, with columns
+    aligned to ``weight_matrix()``.
     """
     model.eval()
     model(x)
@@ -244,7 +245,7 @@ def capture_layer_inputs(model, x: np.ndarray) -> Dict[int, np.ndarray]:
         if isinstance(layer, Linear):
             acts = layer._x.reshape(-1, layer.in_features)
         elif isinstance(layer, Conv2d):
-            acts = layer._cache[1].reshape(-1, layer._cache[1].shape[-1])
+            acts = layer.patch_matrix()
         else:  # pragma: no cover - only Linear/Conv2d are maskable
             continue
         activations[id(layer)] = acts

@@ -152,28 +152,37 @@ class Linear(Module, MaskableMixin):
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """(N, C, H, W) -> (N, out_h, out_w, C*kh*kw) patch matrix."""
+    """(N, C, H, W) -> channels-last patches (N, out_h, out_w, kh, kw, C).
+
+    The input is copied once into a zero-padded NHWC buffer; one strided
+    view over it yields every patch, and one contiguous copy of that view
+    is the GEMM operand.  Columns come out in (kh, kw, C) order --
+    :meth:`Conv2d.patch_matrix` reorders them to the ``weight_matrix()``
+    (C, kh, kw) order for callers outside the GEMM.
+    """
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
-    shape = (n, c, out_h, out_w, kh, kw)
-    strides = (
-        x.strides[0],
-        x.strides[1],
-        x.strides[2] * stride,
-        x.strides[3] * stride,
-        x.strides[2],
-        x.strides[3],
+    sn, sh, sw, sc = xp.strides
+    patches = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, out_h, out_w, kh, kw, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
+        writeable=False,
     )
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    cols = patches.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h, out_w, c * kh * kw)
-    return np.ascontiguousarray(cols), out_h, out_w
+    return np.ascontiguousarray(patches), out_h, out_w
 
 
 class Conv2d(Module, MaskableMixin):
-    """2-D convolution via im2col -- the GEMM lowering the paper prunes."""
+    """2-D convolution via im2col -- the GEMM lowering the paper prunes.
+
+    The weight, its gradient and the mask keep the OIHW layout, so
+    ``weight_matrix()`` columns are in (C_in, kh, kw) order.  Internally
+    the GEMM runs channels-last: patches are (kh, kw, C) and the masked
+    weight is permuted to (out, kh, kw, C) to match.
+    """
 
     def __init__(
         self,
@@ -198,42 +207,67 @@ class Conv2d(Module, MaskableMixin):
         )
         if bias:
             self.params["bias"] = np.zeros(out_channels)
+        # (input shape, channels-last patches (N, oh, ow, kh, kw, C)).
         self._cache = None
 
+    def _weight_hwc(self) -> np.ndarray:
+        """Masked weight as (out, kh, kw, C), the patches' column order."""
+        return self.effective_weight().transpose(0, 2, 3, 1)
+
+    def patch_matrix(self) -> np.ndarray:
+        """The last forward's patches as (N*oh*ow, C*kh*kw) rows.
+
+        Columns follow ``weight_matrix()`` order, so
+        ``patch_matrix() @ weight_matrix().T`` is the pre-bias output --
+        the activations calibration criteria (Wanda, SparseGPT) need.
+        """
+        cols = self._cache[1]
+        n, out_h, out_w, kh, kw, c = cols.shape
+        return cols.transpose(0, 1, 2, 5, 3, 4).reshape(n * out_h * out_w, c * kh * kw)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
-        cols, out_h, out_w = _im2col(x, self.kernel_size, self.kernel_size, self.stride, self.padding)
-        w2d = self.effective_weight().reshape(self.out_channels, -1)
-        y = cols @ w2d.T  # (N, oh, ow, C_out)
+        k = self.kernel_size
+        self._cache = None  # free the previous patches before building new ones
+        cols, out_h, out_w = _im2col(x, k, k, self.stride, self.padding)
+        n = x.shape[0]
+        w = self._weight_hwc().reshape(self.out_channels, -1)
+        y = cols.reshape(n * out_h * out_w, -1) @ w.T
         if "bias" in self.params:
-            y = y + self.params["bias"]
+            y += self.params["bias"]
         self._cache = (x.shape, cols)
-        return y.transpose(0, 3, 1, 2)
+        return y.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x_shape, cols = self._cache
-        n, _, out_h, out_w = grad.shape
+        k, c = self.kernel_size, x_shape[1]
         g = grad.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        flat_cols = cols.reshape(-1, cols.shape[-1])
-        gw = (g.T @ flat_cols).reshape(self.params["weight"].shape)
+        gw = (g.T @ cols.reshape(g.shape[0], -1)).reshape(self.out_channels, k, k, c)
+        gw = np.ascontiguousarray(gw.transpose(0, 3, 1, 2))  # back to OIHW
         self.grads["weight"] = self.grads.get("weight", 0) + gw
         if "bias" in self.params:
             self.grads["bias"] = self.grads.get("bias", 0) + g.sum(axis=0)
+        return self._col2im(g, x_shape, grad.shape[2], grad.shape[3])
 
-        w2d = self.effective_weight().reshape(self.out_channels, -1)
-        gcols = (g @ w2d).reshape(n, out_h, out_w, -1)
-        return self._col2im(gcols, x_shape)
+    def _col2im(self, g: np.ndarray, x_shape, out_h: int, out_w: int) -> np.ndarray:
+        """Input gradient from the (N*oh*ow, out) output gradient.
 
-    def _col2im(self, gcols: np.ndarray, x_shape) -> np.ndarray:
+        Loops over the k*k kernel taps, not the output positions: tap
+        (i, j) of every output position lands on input pixel
+        (i + s*oy, j + s*ox), so one small GEMM against that tap's
+        (out, C) weight slice and one strided slab add into a padded
+        NHWC buffer cover all positions at once.
+        """
         n, c, h, w = x_shape
         k, s, p = self.kernel_size, self.stride, self.padding
-        gx = np.zeros((n, c, h + 2 * p, w + 2 * p))
-        gcols = gcols.reshape(n, gcols.shape[1], gcols.shape[2], c, k, k)
-        for i in range(gcols.shape[1]):
-            for j in range(gcols.shape[2]):
-                gx[:, :, i * s : i * s + k, j * s : j * s + k] += gcols[:, i, j]
-        if p:
-            gx = gx[:, :, p:-p, p:-p]
-        return gx
+        taps = np.ascontiguousarray(self._weight_hwc())  # unit-stride (out, C) slices
+        gx = np.zeros((n, h + 2 * p, w + 2 * p, c))
+        span_h = s * (out_h - 1) + 1
+        span_w = s * (out_w - 1) + 1
+        for i in range(k):
+            for j in range(k):
+                slab = (g @ taps[:, i, j]).reshape(n, out_h, out_w, c)
+                gx[:, i : i + span_h : s, j : j + span_w : s] += slab
+        return gx[:, p : p + h, p : p + w].transpose(0, 3, 1, 2)
 
 
 class ReLU(Module):
@@ -252,7 +286,10 @@ class GELU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        inner = self._C * (x + 0.044715 * x**3)
+        # Plain multiplies: ``x**3`` goes through the generic power op,
+        # ~60x slower at proxy shapes (``**2`` below has numpy's square
+        # fast path).
+        inner = self._C * (x + 0.044715 * (x * x * x))
         self._t = np.tanh(inner)
         return 0.5 * x * (1.0 + self._t)
 
@@ -275,16 +312,19 @@ class BatchNorm2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
+            # One centred copy serves the variance and x-hat: the same
+            # sums ``x.var`` does, without computing the mean twice.
             mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            d = x - mean[None, :, None, None]
+            var = (d * d).mean(axis=(0, 2, 3))
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
             mean, var = self.running_mean, self.running_var
-        m = mean[None, :, None, None]
-        v = var[None, :, None, None]
-        self._xhat = (x - m) / np.sqrt(v + self.eps)
-        self._std = np.sqrt(v + self.eps)
+            d = x - mean[None, :, None, None]
+        self._std = np.sqrt(var[None, :, None, None] + self.eps)
+        d /= self._std
+        self._xhat = d
         return self.params["gamma"][None, :, None, None] * self._xhat + self.params["beta"][
             None, :, None, None
         ]

@@ -3,10 +3,12 @@
 The suite times the simulator's hot paths (micro benches: segment
 derivation, DVPE cost batching, both schedulers, every storage format's
 encode, the codec batch), the transposable-mask solver backends
-(``tsolver_{greedy,tsenor}_m{8,32}`` on seeded block batches), and two
-macro paths (one full ``simulate`` call and a miniature fig13-style
-sweep).  Every bench is seeded and shape-pinned, so two runs of the same
-profile do identical work.
+(``tsolver_{greedy,tsenor}_m{8,32}`` on seeded block batches), the
+dense nn layers that dominate training (``nn_{conv2d,gelu,batchnorm}``,
+forward + backward at proxy-model shapes), and two macro paths (one
+full ``simulate`` call and a miniature fig13-style sweep).  Every bench
+is seeded and shape-pinned, so two runs of the same profile do
+identical work.
 
 Wall times are normalized by a calibration workload (a fixed numpy +
 Python mix timed on the same machine right before the suite), which is
@@ -65,14 +67,17 @@ PROFILES: Dict[str, Dict[str, int]] = {
     "smoke": {
         "rows": 64, "cols": 64, "b_cols": 16, "n_blocks": 128, "reps": 1,
         "sweep_archs": 2, "tsolver_blocks": 16, "scenario_scale": 64,
+        "nn_batch": 8,
     },
     "quick": {
         "rows": 192, "cols": 160, "b_cols": 64, "n_blocks": 2048, "reps": 5,
         "sweep_archs": 3, "tsolver_blocks": 256, "scenario_scale": 16,
+        "nn_batch": 64,
     },
     "full": {
         "rows": 384, "cols": 320, "b_cols": 128, "n_blocks": 8192, "reps": 5,
         "sweep_archs": 6, "tsolver_blocks": 256, "scenario_scale": 8,
+        "nn_batch": 64,
     },
 }
 
@@ -337,12 +342,42 @@ def _scenario_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, 
     return benches
 
 
+def _nn_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Callable[[], None]]]:
+    """Dense nn layer benches: one forward plus one backward pass each.
+
+    Shapes are the accuracy proxies' (``analysis.experiments._proxy``):
+    a width-12 CNN block on 16x16 images and the encoder FFN's GELU at
+    (batch, 16, 128).  Training time is almost all in these layers, so
+    the gate guards the convolution lowering and the activation maths.
+    """
+    from ..nn.layers import GELU, BatchNorm2d, Conv2d
+
+    rng = np.random.default_rng(seed)
+    batch = sizes["nn_batch"]
+    image = rng.normal(size=(batch, 12, 16, 16))
+    conv = Conv2d(12, 12, 3, padding=1, seed=seed)
+    # BatchNorm sees what a conv hands it: an NHWC buffer viewed as NCHW.
+    conv_out = conv.forward(image)
+    tokens = rng.normal(size=(batch, 16, 128))
+    bn, gelu = BatchNorm2d(12), GELU()
+
+    def _pass(layer, x) -> None:
+        layer.backward(layer.forward(x))
+
+    return [
+        ("nn_conv2d", int(image.size), lambda: _pass(conv, image)),
+        ("nn_gelu", int(tokens.size), lambda: _pass(gelu, tokens)),
+        ("nn_batchnorm", int(conv_out.size), lambda: _pass(bn, conv_out)),
+    ]
+
+
 def _all_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Callable[[], None]]]:
     """The whole suite, in its canonical order."""
     return (
         _micro_benches(sizes, seed)
         + _tsolver_benches(sizes, seed)
         + _scenario_benches(sizes, seed)
+        + _nn_benches(sizes, seed)
         + _macro_benches(sizes, seed)
     )
 

@@ -164,6 +164,24 @@ class TestConv2d:
         conv = Conv2d(2, 2, 3, padding=1, seed=5)
         check_param_grads(conv, RNG.normal(size=(2, 2, 4, 4)))
 
+    def test_input_grad_stride2(self):
+        check_input_grad(
+            Conv2d(2, 3, 3, stride=2, padding=1, seed=8), RNG.normal(size=(2, 2, 5, 5))
+        )
+
+    def test_param_grads_stride2(self):
+        conv = Conv2d(2, 2, 3, stride=2, padding=1, seed=9)
+        check_param_grads(conv, RNG.normal(size=(2, 2, 5, 5)))
+
+    def test_input_grad_pointwise(self):
+        check_input_grad(
+            Conv2d(3, 2, kernel_size=1, padding=0, seed=10), RNG.normal(size=(2, 3, 3, 4))
+        )
+
+    def test_param_grads_pointwise(self):
+        conv = Conv2d(3, 2, kernel_size=1, padding=0, seed=11)
+        check_param_grads(conv, RNG.normal(size=(2, 3, 3, 4)))
+
     def test_weight_matrix_shape(self):
         conv = Conv2d(3, 8, 3, seed=6)
         assert conv.weight_matrix().shape == (8, 27)

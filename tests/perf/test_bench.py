@@ -33,6 +33,9 @@ def test_suite_covers_micro_and_macro(smoke_run):
         "encode_bitmap",
         "simulate_layer",
         "sweep_fig13_mini",
+        "nn_conv2d",
+        "nn_gelu",
+        "nn_batchnorm",
     } <= names
 
 
