@@ -39,7 +39,7 @@ import numpy as np
 
 from ..core.patterns import PatternFamily, PatternSpec
 from ..core.sparsify import tbs_sparsify
-from ..formats.base import EncodedMatrix, EncodeSpec, SparseFormat
+from ..formats.base import EncodedMatrix, EncodeSpec, SparseFormat, Trace
 from ..formats.registry import available_formats, format_index, get_format
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
@@ -298,14 +298,15 @@ def run_trial(spec: CampaignSpec, fmt_name: str, model: str, trial: int) -> Opti
 
     # DRAM transaction faults: exactly one faulted transaction per trial.
     encoded = fmt.encode(expected, enc_spec)
-    if not encoded.segments:
+    trace = encoded.forward_trace
+    if not len(trace):
         return None
     kind = {"dram_drop": "drop", "dram_dup": "duplicate", "dram_corrupt": "corrupt"}[model]
-    idx = int(rng.integers(len(encoded.segments)))
+    idx = int(rng.integers(len(trace)))
     model_probs = TransactionFaultModel(**{f"p_{kind}": 1.0})
-    one = perturb_trace([encoded.segments[idx]], model_probs, rng)
-    trace = list(encoded.segments[:idx]) + one.segments + list(encoded.segments[idx + 1:])
-    perturbed = replace(one, segments=trace)
+    one = perturb_trace(trace[idx : idx + 1], model_probs, rng)
+    spliced = Trace.concat(trace[:idx], one.segments, trace[idx + 1 :])
+    perturbed = replace(one, segments=spliced)
     if perturbed.dropped:
         # Missing bytes trip the DMA byte counter: always a loud fault.
         return "detected" if perturbed.length_check_fails(encoded.traced_bytes) else "silent"

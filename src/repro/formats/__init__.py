@@ -25,8 +25,8 @@ from .base import (
     VALUE_BYTES,
     EncodedMatrix,
     EncodeSpec,
-    Segment,
     SparseFormat,
+    Trace,
     apply_mask,
     merge_contiguous,
 )
@@ -68,9 +68,9 @@ __all__ = [
     "EncodedMatrix",
     "ORIENTATIONS",
     "SDCFormat",
-    "Segment",
     "SparseFormat",
     "StorageElement",
+    "Trace",
     "TraceValidationError",
     "TrafficReport",
     "VALUE_BYTES",

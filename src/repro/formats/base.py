@@ -12,9 +12,9 @@ utilization (Fig. 7):
   (CSR's scattered short row segments).
 
 Every encoder returns an :class:`EncodedMatrix` carrying the storage
-footprint breakdown, the consumption-order trace as address segments, and
-enough arrays to decode the matrix back exactly (used by the round-trip
-tests and by the functional simulator).
+footprint breakdown, the consumption-order :class:`Trace` (parallel
+``addr``/``nbytes`` arrays), and enough arrays to decode the matrix back
+exactly (used by the round-trip tests and by the functional simulator).
 
 Consumption **orientation** is a first-class axis: the forward pass
 drains the matrix block-major, the backward pass drains the *transpose*
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,19 +48,65 @@ ORIENTATIONS: Tuple[str, ...] = ("forward", "transposed")
 DEFAULT_ORIENTATION = "forward"
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One contiguous read in the consumption-order access trace."""
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A consumption-order access trace as two parallel int64 arrays.
 
-    addr: int
-    nbytes: int
+    Segment ``i`` reads ``nbytes[i]`` contiguous bytes starting at byte
+    address ``addr[i]``; ``len(trace)`` is the number of segments.  Both
+    arrays are private read-only copies.  Nothing here rejects negative
+    entries: :func:`repro.formats.validate.trace_violations` reports them.
+    """
+
+    addr: np.ndarray
+    nbytes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.addr < 0 or self.nbytes < 0:
-            raise ValueError(f"invalid segment ({self.addr}, {self.nbytes})")
+        addr = np.array(self.addr, dtype=np.int64)
+        nbytes = np.array(self.nbytes, dtype=np.int64)
+        if addr.ndim != 1 or addr.shape != nbytes.shape:
+            raise ValueError(
+                f"trace needs two equal-length 1-D arrays, got {addr.shape} and {nbytes.shape}"
+            )
+        addr.flags.writeable = False
+        nbytes.flags.writeable = False
+        object.__setattr__(self, "addr", addr)
+        object.__setattr__(self, "nbytes", nbytes)
+
+    @classmethod
+    def nonempty(cls, addr, nbytes, header: int = 0) -> "Trace":
+        """The non-empty ``(addr, nbytes)`` reads, after a ``header``-byte
+        read of the side table at address 0 (omitted when 0 bytes)."""
+        addr = np.concatenate(([0], np.asarray(addr, dtype=np.int64)))
+        nbytes = np.concatenate(([header], np.asarray(nbytes, dtype=np.int64)))
+        keep = nbytes != 0
+        return cls(addr[keep], nbytes[keep])
+
+    @classmethod
+    def concat(cls, *parts: "Trace") -> "Trace":
+        return cls(
+            np.concatenate([p.addr for p in parts]), np.concatenate([p.nbytes for p in parts])
+        )
+
+    def __len__(self) -> int:
+        return self.addr.size
+
+    def __getitem__(self, key) -> "Trace":
+        """Sub-trace for a slice, boolean mask or index array."""
+        return Trace(self.addr[key], self.nbytes[key])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return np.array_equal(self.addr, other.addr) and np.array_equal(
+            self.nbytes, other.nbytes
+        )
+
+    __hash__ = None
 
     @property
-    def end(self) -> int:
+    def end(self) -> np.ndarray:
+        """One past the last byte of every segment."""
         return self.addr + self.nbytes
 
 
@@ -116,10 +162,10 @@ class EncodedMatrix:
         Non-zero count.
     value_bytes / index_bytes / meta_bytes:
         Storage footprint breakdown.
-    segments:
-        Forward (block-major) consumption-order access trace, matching
-        how the PE array drains the matrix.  Use :meth:`trace` to obtain
-        the trace for either orientation.
+    forward_trace:
+        Forward (block-major) consumption-order access :class:`Trace`,
+        matching how the PE array drains the matrix.  Use :meth:`trace`
+        to obtain the trace for either orientation.
     arrays:
         Format-specific payload arrays, sufficient for exact decode.
     orientation:
@@ -135,13 +181,13 @@ class EncodedMatrix:
     value_bytes: int
     index_bytes: int
     meta_bytes: int
-    segments: List[Segment] = field(default_factory=list)
+    forward_trace: Trace
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     orientation: str = DEFAULT_ORIENTATION
     block_size: int = 8
     #: Lazily-built transposed-orientation trace (cached; derived from the
     #: stored layout by the owning format -- never by re-encoding).
-    transposed_segments: Optional[List[Segment]] = None
+    transposed_cache: Optional[Trace] = None
 
     @property
     def total_bytes(self) -> int:
@@ -155,9 +201,9 @@ class EncodedMatrix:
     @property
     def traced_bytes(self) -> int:
         """Total bytes of the forward consumption trace."""
-        return sum(seg.nbytes for seg in self.segments)
+        return int(self.forward_trace.nbytes.sum())
 
-    def trace(self, orientation: Optional[str] = None) -> List[Segment]:
+    def trace(self, orientation: Optional[str] = None) -> Trace:
         """Access trace for ``orientation`` (default: the encoded one).
 
         The transposed trace is derived once from the stored layout via
@@ -171,16 +217,16 @@ class EncodedMatrix:
                 f"orientation must be one of {ORIENTATIONS}, got {orientation!r}"
             )
         if orientation == "forward":
-            return self.segments
-        if self.transposed_segments is None:
+            return self.forward_trace
+        if self.transposed_cache is None:
             from .registry import get_format
 
-            self.transposed_segments = get_format(self.format_name).transposed_trace(self)
-        return self.transposed_segments
+            self.transposed_cache = get_format(self.format_name).transposed_trace(self)
+        return self.transposed_cache
 
     def traced_bytes_for(self, orientation: Optional[str] = None) -> int:
         """Total bytes of the trace for ``orientation``."""
-        return sum(seg.nbytes for seg in self.trace(orientation))
+        return int(self.trace(orientation).nbytes.sum())
 
 
 class SparseFormat(abc.ABC):
@@ -226,7 +272,7 @@ class SparseFormat(abc.ABC):
         """
         return self.decode(encoded).T
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed-orientation access trace, derived from ``encoded``.
 
         Implementations must read only ``encoded`` (its arrays, footprint
@@ -252,12 +298,20 @@ def apply_mask(values: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
     return np.where(mask, values, 0.0)
 
 
-def merge_contiguous(segments: List[Segment]) -> List[Segment]:
-    """Coalesce address-adjacent segments (a streaming prefetcher's view)."""
-    merged: List[Segment] = []
-    for seg in segments:
-        if merged and merged[-1].end == seg.addr:
-            merged[-1] = Segment(merged[-1].addr, merged[-1].nbytes + seg.nbytes)
-        else:
-            merged.append(Segment(seg.addr, seg.nbytes))
-    return merged
+def merge_contiguous(trace: Trace, window: Optional[int] = None) -> Trace:
+    """Coalesce address-adjacent segments (a streaming prefetcher's view).
+
+    A run of adjacent segments fuses into one; with ``window`` set, at
+    most ``window`` consecutive segments of a run fuse, so a run of
+    ``k`` segments becomes ``ceil(k / window)``.
+    """
+    n = len(trace)
+    addr, nbytes = trace.addr, trace.nbytes
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = addr[1:] != addr[:-1] + nbytes[:-1]
+    if window is not None:
+        heads = np.flatnonzero(starts)
+        run_id = np.cumsum(starts) - 1
+        starts |= (np.arange(n) - heads[run_id]) % window == 0
+    heads = np.flatnonzero(starts)
+    return Trace(addr[heads], np.add.reduceat(nbytes, heads))

@@ -11,12 +11,11 @@ model via ``datapath_energy_scale``).
 from __future__ import annotations
 
 import math
-from typing import List
 
 import numpy as np
 
 from ..perf import timed
-from .base import VALUE_BYTES, EncodedMatrix, EncodeSpec, Segment, SparseFormat, apply_mask
+from .base import VALUE_BYTES, EncodedMatrix, EncodeSpec, SparseFormat, Trace, apply_mask
 
 
 class BitmapFormat(SparseFormat):
@@ -33,11 +32,6 @@ class BitmapFormat(SparseFormat):
         nnz = int(nz_values.size)
         bitmap_bytes = int(math.ceil(rows * cols / 8.0)) if rows * cols else 0
         value_bytes = nnz * VALUE_BYTES
-        segments = []
-        if bitmap_bytes:
-            segments.append(Segment(0, bitmap_bytes))
-        if value_bytes:
-            segments.append(Segment(bitmap_bytes, value_bytes))
         return EncodedMatrix(
             format_name=self.name,
             shape=(rows, cols),
@@ -45,11 +39,11 @@ class BitmapFormat(SparseFormat):
             value_bytes=value_bytes,
             index_bytes=0,
             meta_bytes=bitmap_bytes,
-            segments=segments,
+            forward_trace=Trace.nonempty([bitmap_bytes], [value_bytes], header=bitmap_bytes),
             arrays={"bitmap": occupancy, "values": nz_values},
         )
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed reads: bitmap stream, then per-element value picks.
 
         The bitmap itself is orientation-agnostic (it streams whole
@@ -58,21 +52,15 @@ class BitmapFormat(SparseFormat):
         one 2-byte gather per non-zero, ordered by the transposed
         block-major walk.
         """
-        occupancy = encoded.arrays["bitmap"]
         bitmap_bytes = encoded.meta_bytes
-        segments: List[Segment] = []
-        if bitmap_bytes:
-            segments.append(Segment(0, bitmap_bytes))
-        r, c = np.nonzero(occupancy)
-        if r.size == 0:
-            return segments
+        r, c = np.nonzero(encoded.arrays["bitmap"])
         bs = encoded.block_size
-        ranks = np.arange(r.size, dtype=np.int64)  # np.nonzero is row-major = pack order
+        # np.nonzero is row-major = pack order, so a non-zero's position
+        # in (r, c) is its rank in the packed value stream.
         order = np.lexsort((r, c, r // bs, c // bs))
-        segments.extend(
-            Segment(bitmap_bytes + int(rank) * VALUE_BYTES, VALUE_BYTES) for rank in ranks[order]
+        return Trace.nonempty(
+            bitmap_bytes + order * VALUE_BYTES, np.full(r.size, VALUE_BYTES), header=bitmap_bytes
         )
-        return segments
 
     @timed("formats.bitmap.decode")
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:

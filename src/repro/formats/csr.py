@@ -10,8 +10,6 @@ effective bandwidth drops below 38.2%.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ..perf import timed
@@ -21,8 +19,8 @@ from .base import (
     VALUE_BYTES,
     EncodedMatrix,
     EncodeSpec,
-    Segment,
     SparseFormat,
+    Trace,
     apply_mask,
 )
 
@@ -47,7 +45,7 @@ class CSRFormat(SparseFormat):
         vals = dense[r_idx, col_idx]
         nnz = int(vals.size)
 
-        segments = self._block_major_trace(row_ptr, col_idx, rows, cols, block_size)
+        trace = self._block_major_trace(row_ptr, col_idx, rows, cols, block_size)
         return EncodedMatrix(
             format_name=self.name,
             shape=(rows, cols),
@@ -55,7 +53,7 @@ class CSRFormat(SparseFormat):
             value_bytes=nnz * VALUE_BYTES,
             index_bytes=nnz * CSR_INDEX_BYTES,
             meta_bytes=(rows + 1) * CSR_PTR_BYTES,
-            segments=segments,
+            forward_trace=trace,
             arrays={"row_ptr": row_ptr, "col_idx": col_idx, "values": vals},
         )
 
@@ -66,7 +64,7 @@ class CSRFormat(SparseFormat):
         rows: int,
         cols: int,
         block_size: int,
-    ) -> List[Segment]:
+    ) -> Trace:
         """Reads issued when draining the matrix block by block.
 
         We model the accelerator-friendly packed layout where each
@@ -77,7 +75,6 @@ class CSRFormat(SparseFormat):
         array, which is the non-contiguity the paper calls out.
         """
         elem_bytes = VALUE_BYTES + CSR_INDEX_BYTES
-        segments: List[Segment] = []
         # Each segment is a maximal run of consecutive non-zeros sharing
         # (row, block-column); CSR order already groups them, so the run
         # boundaries fall where either key changes.  Runs are then
@@ -85,7 +82,7 @@ class CSRFormat(SparseFormat):
         # order.
         n = int(col_idx.size)
         if n == 0:
-            return segments
+            return Trace([], [])
         r_idx = np.repeat(np.arange(rows, dtype=np.int64), np.diff(row_ptr))
         bc = col_idx // block_size
         boundary = np.empty(n, dtype=bool)
@@ -96,11 +93,9 @@ class CSRFormat(SparseFormat):
         seg_r = r_idx[starts]
         seg_bc = bc[starts]
         order = np.lexsort((seg_r, seg_bc, seg_r // block_size))
-        for i in order:
-            segments.append(Segment(int(starts[i]) * elem_bytes, int(counts[i]) * elem_bytes))
-        return segments
+        return Trace(starts[order] * elem_bytes, counts[order] * elem_bytes)
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Reads issued when draining the *transpose* block by block.
 
         CSR is laid out along rows of the stored matrix, but the
@@ -114,15 +109,13 @@ class CSRFormat(SparseFormat):
         rows, _ = encoded.shape
         block_size = encoded.block_size
         n = int(col_idx.size)
-        if n == 0:
-            return []
         elem_bytes = VALUE_BYTES + CSR_INDEX_BYTES
         r_idx = np.repeat(np.arange(rows, dtype=np.int64), np.diff(row_ptr))
         # Transposed block-major emission: outer key is the stored
         # block-column (= transposed block-row), then the stored
         # block-row, then column (= transposed row), then row.
         order = np.lexsort((r_idx, col_idx, r_idx // block_size, col_idx // block_size))
-        return [Segment(int(i) * elem_bytes, elem_bytes) for i in order]
+        return Trace(order * elem_bytes, np.full(n, elem_bytes))
 
     @timed("formats.csr.decode")
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:

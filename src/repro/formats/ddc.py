@@ -31,8 +31,8 @@ from .base import (
     VALUE_BYTES,
     EncodedMatrix,
     EncodeSpec,
-    Segment,
     SparseFormat,
+    Trace,
     apply_mask,
 )
 
@@ -67,10 +67,13 @@ def infer_block_pattern(block: np.ndarray) -> tuple:
     return col_max, Direction.COL, False
 
 
-def _index_bytes(count: int, m: int) -> int:
-    """Packed position-index bytes: log2(M) bits per kept element."""
+def _index_bytes(count, m: int):
+    """Packed position-index bytes: log2(M) bits per kept element.
+
+    ``count`` may be an int or an integer array (elementwise result).
+    """
     bits_per = max(1, int(math.ceil(math.log2(max(2, m)))))
-    return int(math.ceil(count * bits_per / 8.0))
+    return -(-(count * bits_per) // 8)
 
 
 class DDCFormat(SparseFormat):
@@ -88,13 +91,9 @@ class DDCFormat(SparseFormat):
         block_meta: List[dict] = []
         payload_vals: List[np.ndarray] = []
         payload_idx: List[np.ndarray] = []
-        segments: List[Segment] = []
 
         block_list = list(iter_blocks(rows, cols, m))
-        info_bytes = len(block_list) * DDC_INFO_BYTES
-        if info_bytes:
-            segments.append(Segment(0, info_bytes))  # streamed Info table
-        payload_base = info_bytes
+        info_bytes = len(block_list) * DDC_INFO_BYTES  # streamed Info table
 
         # Vectorized payload construction: pick every block's (n,
         # direction), sort each lane's non-zeros to the front, and
@@ -133,12 +132,11 @@ class DDCFormat(SparseFormat):
         )
         idxs_full = np.take_along_axis(order, clip, axis=-1)
 
-        bits_per = max(1, int(math.ceil(math.log2(max(2, m)))))
         counts_total = m * ns
         v_bytes_arr = counts_total * VALUE_BYTES
-        i_bytes_arr = -(-(counts_total * bits_per) // 8)
+        i_bytes_arr = _index_bytes(counts_total, m)
         blk_bytes = v_bytes_arr + i_bytes_arr
-        offsets = np.concatenate([[0], np.cumsum(blk_bytes)[:-1]])
+        offsets = np.cumsum(blk_bytes) - blk_bytes
         value_bytes = int(v_bytes_arr.sum())
         index_bytes = int(i_bytes_arr.sum())
         for i, bidx in enumerate(block_list):
@@ -154,8 +152,6 @@ class DDCFormat(SparseFormat):
             )
             payload_vals.append(vals_full[i, :, :n].copy())
             payload_idx.append(idxs_full[i, :, :n].copy())
-            if blk_bytes[i]:
-                segments.append(Segment(payload_base + int(offsets[i]), int(blk_bytes[i])))
 
         def _object_array(items: List) -> np.ndarray:
             arr = np.empty(len(items), dtype=object)
@@ -170,7 +166,7 @@ class DDCFormat(SparseFormat):
             value_bytes=value_bytes,
             index_bytes=index_bytes,
             meta_bytes=info_bytes,
-            segments=segments,
+            forward_trace=Trace.nonempty(info_bytes + offsets, blk_bytes, header=info_bytes),
             arrays={
                 "block_meta": _object_array(block_meta),
                 "block_values": _object_array(payload_vals),
@@ -179,7 +175,7 @@ class DDCFormat(SparseFormat):
             },
         )
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed reads: Info table, then payloads in block-column order.
 
         Each block's payload stays one contiguous run either way -- the
@@ -191,19 +187,14 @@ class DDCFormat(SparseFormat):
         """
         m = int(encoded.arrays["m"])
         metas = encoded.arrays["block_meta"]
+        col, row, offset, n = np.array(
+            [(b["col"], b["row"], b["offset"], b["n"]) for b in metas], dtype=np.int64
+        ).reshape(-1, 4).T
+        order = np.lexsort((row, col))
+        count = m * n[order]
+        nbytes = count * VALUE_BYTES + _index_bytes(count, m)
         info_bytes = encoded.meta_bytes
-        segments: List[Segment] = []
-        if info_bytes:
-            segments.append(Segment(0, info_bytes))
-        payload_base = info_bytes
-        order = sorted(range(len(metas)), key=lambda i: (metas[i]["col"], metas[i]["row"]))
-        for i in order:
-            meta = metas[i]
-            count = m * int(meta["n"])
-            nbytes = count * VALUE_BYTES + _index_bytes(count, m)
-            if nbytes:
-                segments.append(Segment(payload_base + int(meta["offset"]), nbytes))
-        return segments
+        return Trace.nonempty(info_bytes + offset[order], nbytes, header=info_bytes)
 
     @timed("formats.ddc.decode")
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:

@@ -9,7 +9,7 @@ padding (invalid elements) averages >61.54% of the fetched bytes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,8 +18,8 @@ from .base import (
     VALUE_BYTES,
     EncodedMatrix,
     EncodeSpec,
-    Segment,
     SparseFormat,
+    Trace,
     apply_mask,
 )
 
@@ -72,14 +72,9 @@ class SDCFormat(SparseFormat):
         # Streaming trace: whole padded row-groups in block-row order.
         # Access is regular (directly addressable) but every padded slot
         # travels over the bus.
-        segments: List[Segment] = []
-        addr = 0
-        for r0 in range(0, rows, block_size):
-            height = min(block_size, rows - r0)
-            nbytes = int(sum(widths[r0 : r0 + height]) * (VALUE_BYTES + SDC_INDEX_BYTES))
-            if nbytes:
-                segments.append(Segment(addr, nbytes))
-            addr += nbytes
+        group_slots = np.add.reduceat(widths, np.arange(0, rows, block_size)) if rows else widths
+        nbytes = (group_slots * (VALUE_BYTES + SDC_INDEX_BYTES)).astype(np.int64)
+        addr = np.cumsum(nbytes) - nbytes
 
         return EncodedMatrix(
             format_name=self.name,
@@ -88,11 +83,11 @@ class SDCFormat(SparseFormat):
             value_bytes=stored_slots * VALUE_BYTES,
             index_bytes=int(stored_slots * SDC_INDEX_BYTES),
             meta_bytes=0,
-            segments=segments,
+            forward_trace=Trace.nonempty(addr, nbytes),
             arrays={"values": vals, "indices": idxs, "valid": valid, "widths": widths},
         )
 
-    def transposed_trace(self, encoded: EncodedMatrix) -> List[Segment]:
+    def transposed_trace(self, encoded: EncodedMatrix) -> Trace:
         """Transposed reads: every row-group re-fetched per block column.
 
         A compressed SDC row is directly addressable as a *whole*, but a
@@ -105,7 +100,8 @@ class SDCFormat(SparseFormat):
         _, cols = encoded.shape
         bs = encoded.block_size
         n_block_cols = (cols + bs - 1) // bs
-        return [seg for _ in range(n_block_cols) for seg in encoded.segments]
+        fwd = encoded.forward_trace
+        return Trace(np.tile(fwd.addr, n_block_cols), np.tile(fwd.nbytes, n_block_cols))
 
     @timed("formats.sdc.decode")
     def decode(self, encoded: EncodedMatrix) -> np.ndarray:

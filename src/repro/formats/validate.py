@@ -7,7 +7,8 @@ past the end of its own layout, or double-charge itself by overlapping
 segments, and every downstream bandwidth number would silently inherit
 the error.  :func:`validate_trace` closes that gap:
 
-* every segment must lie within ``[0, total_bytes]``;
+* every segment must lie within ``[0, total_bytes]`` (so no address or
+  length may be negative);
 * segments within one trace must not *partially* overlap.  Exact
   re-reads of a whole segment are legal (the SDC transposed walk
   re-fetches entire row-groups; DRAM really does re-transfer them), but
@@ -18,6 +19,8 @@ the error.  :func:`validate_trace` closes that gap:
 from __future__ import annotations
 
 from typing import List, Optional
+
+import numpy as np
 
 from .base import ORIENTATIONS, EncodedMatrix
 
@@ -32,24 +35,27 @@ def trace_violations(
     encoded: EncodedMatrix, orientation: Optional[str] = None
 ) -> List[str]:
     """Violation descriptions for one orientation's trace (empty = valid)."""
-    segments = encoded.trace(orientation)
+    trace = encoded.trace(orientation)
+    addr, nbytes, end = trace.addr, trace.nbytes, trace.end
     total = encoded.total_bytes
     problems: List[str] = []
-    for i, seg in enumerate(segments):
-        if seg.end > total:
-            problems.append(
-                f"segment {i} ({seg.addr}, {seg.nbytes}) ends at {seg.end}, "
-                f"past the declared footprint of {total} bytes"
-            )
+    for i in np.flatnonzero((addr < 0) | (nbytes < 0)).tolist():
+        problems.append(f"segment {i} ({addr[i]}, {nbytes[i]}) has a negative address or length")
+    for i in np.flatnonzero(end > total).tolist():
+        problems.append(
+            f"segment {i} ({addr[i]}, {nbytes[i]}) ends at {end[i]}, "
+            f"past the declared footprint of {total} bytes"
+        )
     # Partial-overlap check: sort distinct extents by address; exact
     # duplicates collapse (whole-segment re-fetch is a legal access
     # pattern), anything else sharing bytes is a layout inconsistency.
-    extents = sorted({(seg.addr, seg.end) for seg in segments if seg.nbytes})
-    for (a0, a1), (b0, b1) in zip(extents, extents[1:]):
-        if b0 < a1:
-            problems.append(
-                f"segments ({a0}, {a1 - a0}) and ({b0}, {b1 - b0}) partially overlap"
-            )
+    live = nbytes > 0
+    extents = np.unique(np.stack([addr[live], end[live]], axis=1), axis=0)
+    for k in np.flatnonzero(extents[1:, 0] < extents[:-1, 1]).tolist():
+        (a0, a1), (b0, b1) = extents[k].tolist(), extents[k + 1].tolist()
+        problems.append(
+            f"segments ({a0}, {a1 - a0}) and ({b0}, {b1 - b0}) partially overlap"
+        )
     return problems
 
 

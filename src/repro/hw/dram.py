@@ -16,12 +16,11 @@ simplified to per-burst activation plus per-byte transfer costs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..formats.base import Segment
+from ..formats.base import Trace
 from ..formats.memory_model import TrafficReport
 
 __all__ = [
@@ -126,18 +125,18 @@ class TransactionFaultModel:
 class PerturbedTrace:
     """A consumption trace after transaction faults were applied."""
 
-    segments: List[Segment] = field(default_factory=list)
-    dropped: List[Segment] = field(default_factory=list)
-    duplicated: List[Segment] = field(default_factory=list)
-    corrupted: List[Segment] = field(default_factory=list)
+    segments: Trace
+    dropped: Trace
+    duplicated: Trace
+    corrupted: Trace
 
     @property
     def delivered_bytes(self) -> int:
-        return sum(seg.nbytes for seg in self.segments)
+        return int(self.segments.nbytes.sum())
 
     @property
     def missing_bytes(self) -> int:
-        return sum(seg.nbytes for seg in self.dropped)
+        return int(self.dropped.nbytes.sum())
 
     def length_check_fails(self, expected_bytes: int) -> bool:
         """Would a DMA byte-counter check flag this transfer?
@@ -146,11 +145,11 @@ class PerturbedTrace:
         bytes trip the counter -- exactly like real descriptor-completion
         accounting.
         """
-        return self.delivered_bytes - sum(s.nbytes for s in self.duplicated) != expected_bytes
+        return self.delivered_bytes - int(self.duplicated.nbytes.sum()) != expected_bytes
 
 
 def perturb_trace(
-    segments: Sequence[Segment],
+    trace: Trace,
     model: TransactionFaultModel,
     rng: np.random.Generator,
 ) -> PerturbedTrace:
@@ -163,7 +162,6 @@ def perturb_trace(
     ones stay in place but are reported so the caller can garble the
     matching payload bytes.
     """
-    out = PerturbedTrace()
     thresholds = (
         model.p_drop,
         model.p_drop + model.p_duplicate,
@@ -171,17 +169,13 @@ def perturb_trace(
     )
     if thresholds[-1] > 1.0:
         raise ValueError("fault probabilities sum past 1.0")
-    for seg in segments:
-        u = float(rng.random())
-        if u < thresholds[0]:
-            out.dropped.append(seg)
-        elif u < thresholds[1]:
-            out.segments.append(seg)
-            out.segments.append(seg)
-            out.duplicated.append(seg)
-        elif u < thresholds[2]:
-            out.segments.append(seg)
-            out.corrupted.append(seg)
-        else:
-            out.segments.append(seg)
-    return out
+    # One variate per segment, in trace order: the same stream as one
+    # rng.random() call per segment.
+    kind = np.searchsorted(thresholds, rng.random(len(trace)), side="right")
+    copies = np.array([0, 2, 1, 1])[kind]  # drop, duplicate, corrupt, clean
+    return PerturbedTrace(
+        segments=Trace(np.repeat(trace.addr, copies), np.repeat(trace.nbytes, copies)),
+        dropped=trace[kind == 0],
+        duplicated=trace[kind == 1],
+        corrupted=trace[kind == 2],
+    )

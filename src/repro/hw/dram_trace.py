@@ -2,8 +2,8 @@
 
 :class:`~repro.hw.dram.DRAMModel` charges bandwidth and per-burst
 overheads analytically; this module replays an actual *address trace*
-(the format layers' consumption-order segments) against a banked DRAM
-with an open-row policy:
+(a format's consumption-order :class:`~repro.formats.base.Trace`)
+against a banked DRAM with an open-row policy:
 
 * the address space interleaves across ``num_banks`` banks at row
   granularity;
@@ -21,9 +21,9 @@ studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
-from ..formats.base import Segment
+from ..formats.base import Trace
 
 __all__ = ["DRAMTraceResult", "BankedDRAM"]
 
@@ -81,7 +81,7 @@ class BankedDRAM:
         row_global = addr // self.row_bytes
         return row_global % self.num_banks, row_global // self.num_banks
 
-    def replay(self, segments: Iterable[Segment]) -> DRAMTraceResult:
+    def replay(self, trace: Trace) -> DRAMTraceResult:
         """Replay a consumption-order trace, burst by burst.
 
         Each segment expands into its covering bursts; every burst is
@@ -98,11 +98,11 @@ class BankedDRAM:
         accesses = 0
         energy = 0.0
 
-        for seg in segments:
-            if seg.nbytes <= 0:
+        for seg_addr, nbytes in zip(trace.addr.tolist(), trace.nbytes.tolist()):
+            if nbytes <= 0:
                 continue
-            first = (seg.addr // self.burst_bytes) * self.burst_bytes
-            last = seg.addr + seg.nbytes
+            first = (seg_addr // self.burst_bytes) * self.burst_bytes
+            last = seg_addr + nbytes
             addr = first
             while addr < last:
                 bank, row = self._locate(addr)
@@ -132,5 +132,6 @@ class BankedDRAM:
         )
 
     def replay_encoded(self, encoded) -> DRAMTraceResult:
-        """Replay an :class:`~repro.formats.base.EncodedMatrix` trace."""
-        return self.replay(encoded.segments)
+        """Replay an :class:`~repro.formats.base.EncodedMatrix` trace in
+        its encoded orientation (the trace :func:`traffic_report` analyses)."""
+        return self.replay(encoded.trace())

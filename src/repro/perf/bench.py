@@ -213,7 +213,7 @@ def _micro_benches(sizes: Dict[str, int], seed: int) -> List[Tuple[str, int, Cal
     }
 
     def _trace_t(enc) -> None:
-        enc.transposed_segments = None
+        enc.transposed_cache = None
         enc.trace("transposed")
 
     benches.append(

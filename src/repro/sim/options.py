@@ -13,8 +13,8 @@ immutable, picklable, hashable value object:
   its :meth:`to_dict` round-trips through JSON for cache keys);
 * derive variants with :func:`dataclasses.replace` instead of mutating.
 
-The old loose kwargs still work through a deprecation shim in
-``simulate()`` that warns once per call-site.
+It is the only way to pass these knobs: ``simulate()`` takes no loose
+keyword arguments.
 """
 
 from __future__ import annotations

@@ -83,5 +83,5 @@ class TestFootprintInvariants:
         sparse = w * res.mask
         for fmt in (DDCFormat(), SDCFormat(group_rows=8)):
             enc = fmt.encode(sparse, EncodeSpec(tbs=res if fmt.name == "ddc" else None))
-            if enc.segments:
-                assert max(s.end for s in enc.segments) <= enc.total_bytes + 8
+            if len(enc.forward_trace):
+                assert enc.forward_trace.end.max() <= enc.total_bytes + 8

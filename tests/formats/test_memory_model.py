@@ -10,7 +10,7 @@ from repro.formats import (
     DDCFormat,
     DenseFormat,
     SDCFormat,
-    Segment,
+    Trace,
     compare_formats,
     merge_contiguous,
     traffic_report,
@@ -27,16 +27,16 @@ def _tbs_case(shape=(128, 128), sparsity=0.75, seed=0, row_scale=0.8):
 
 class TestMergeContiguous:
     def test_adjacent_merge(self):
-        segs = [Segment(0, 8), Segment(8, 8), Segment(32, 4)]
+        segs = Trace([0, 8, 32], [8, 8, 4])
         merged = merge_contiguous(segs)
-        assert merged == [Segment(0, 16), Segment(32, 4)]
+        assert merged == Trace([0, 32], [16, 4])
 
     def test_non_adjacent_kept(self):
-        segs = [Segment(0, 4), Segment(8, 4)]
+        segs = Trace([0, 8], [4, 4])
         assert merge_contiguous(segs) == segs
 
     def test_empty(self):
-        assert merge_contiguous([]) == []
+        assert merge_contiguous(Trace([], [])) == Trace([], [])
 
 
 class TestTrafficReport:
@@ -47,7 +47,7 @@ class TestTrafficReport:
 
     def test_unaligned_segment_costs_extra_burst(self):
         enc = DenseFormat().encode(np.ones((4, 4)))
-        enc.segments = [Segment(16, 32)]  # straddles two 32B bursts
+        enc.forward_trace = Trace([16], [32])  # straddles two 32B bursts
         rep = traffic_report(enc, burst_bytes=32)
         assert rep.fetched_bytes == 64
 

@@ -155,4 +155,4 @@ class TestCSRSpecifics:
         sparse, res = _tbs_matrix(shape=(64, 64), seed=13)
         csr = CSRFormat().encode(sparse)
         ddc = DDCFormat().encode(sparse, EncodeSpec(tbs=res))
-        assert len(csr.segments) > 4 * len(ddc.segments)
+        assert len(csr.forward_trace) > 4 * len(ddc.forward_trace)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.formats.base import Segment
+from repro.formats.base import Trace
 from repro.hw.dram import TransactionFaultModel, perturb_trace
 
 
 def _segments(n=8, size=32):
-    return [Segment(addr=i * size, nbytes=size) for i in range(n)]
+    return Trace(np.arange(n) * size, np.full(n, size))
 
 
 class TestModel:
@@ -30,17 +30,17 @@ class TestPerturb:
     def test_clean_model_passes_everything(self):
         segs = _segments()
         out = perturb_trace(segs, TransactionFaultModel(), np.random.default_rng(0))
-        assert out.segments == list(segs)
+        assert out.segments == segs
         assert not out.dropped and not out.duplicated and not out.corrupted
-        assert out.delivered_bytes == sum(s.nbytes for s in segs)
+        assert out.delivered_bytes == segs.nbytes.sum()
 
     def test_certain_drop_loses_all_bytes(self):
         segs = _segments(4)
         out = perturb_trace(segs, TransactionFaultModel(p_drop=1.0), np.random.default_rng(0))
         assert len(out.dropped) == 4
-        assert out.segments == []
-        assert out.missing_bytes == sum(s.nbytes for s in segs)
-        assert out.length_check_fails(sum(s.nbytes for s in segs))
+        assert len(out.segments) == 0
+        assert out.missing_bytes == segs.nbytes.sum()
+        assert out.length_check_fails(segs.nbytes.sum())
 
     def test_certain_duplicate_does_not_fail_length_check(self):
         """Duplicates overwrite the same buffer region: the DMA byte
@@ -50,7 +50,7 @@ class TestPerturb:
                             np.random.default_rng(0))
         assert len(out.duplicated) == 4
         assert len(out.segments) == 8
-        assert not out.length_check_fails(sum(s.nbytes for s in segs))
+        assert not out.length_check_fails(segs.nbytes.sum())
 
     def test_corrupt_keeps_the_segment(self):
         segs = _segments(4)
@@ -58,7 +58,7 @@ class TestPerturb:
                             np.random.default_rng(0))
         assert len(out.corrupted) == 4
         assert len(out.segments) == 4
-        assert not out.length_check_fails(sum(s.nbytes for s in segs))
+        assert not out.length_check_fails(segs.nbytes.sum())
 
     def test_seeded_reproducibility(self):
         model = TransactionFaultModel(p_drop=0.3, p_duplicate=0.2, p_corrupt=0.2)

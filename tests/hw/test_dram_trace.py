@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.sparsify import tbs_sparsify
-from repro.formats import CSRFormat, DDCFormat, EncodeSpec, Segment
+from repro.formats import CSRFormat, DDCFormat, EncodeSpec, Trace
 from repro.hw.dram_trace import BankedDRAM
 
 
@@ -31,13 +31,13 @@ class TestGeometry:
 
 class TestReplay:
     def test_empty_trace(self):
-        res = BankedDRAM().replay([])
+        res = BankedDRAM().replay(Trace([], []))
         assert res.cycles == 0 and res.accesses == 0
         assert res.row_hit_rate == 1.0
 
     def test_sequential_stream_mostly_hits(self):
         dram = BankedDRAM(row_bytes=1024, burst_bytes=32)
-        res = dram.replay([Segment(0, 8192)])
+        res = dram.replay(Trace([0], [8192]))
         # 8 KB sequential -> 8 row activations, 248 hits.
         assert res.accesses == 256
         assert res.row_misses == 8
@@ -45,27 +45,26 @@ class TestReplay:
 
     def test_random_scatter_mostly_misses(self):
         rng = np.random.default_rng(0)
-        segments = [Segment(int(a) * 4096, 8) for a in rng.integers(0, 4096, size=128)]
-        res = BankedDRAM().replay(segments)
+        addr = rng.integers(0, 4096, size=128) * 4096
+        res = BankedDRAM().replay(Trace(addr, np.full(128, 8)))
         assert res.row_hit_rate < 0.3
 
     def test_scatter_slower_than_stream(self):
         nbytes = 8192
-        stream = BankedDRAM().replay([Segment(0, nbytes)])
+        stream = BankedDRAM().replay(Trace([0], [nbytes]))
         rng = np.random.default_rng(1)
-        scattered = BankedDRAM().replay(
-            [Segment(int(a) * 4096, 32) for a in rng.integers(0, 1 << 16, size=nbytes // 32)]
-        )
+        addr = rng.integers(0, 1 << 16, size=nbytes // 32) * 4096
+        scattered = BankedDRAM().replay(Trace(addr, np.full(addr.size, 32)))
         assert scattered.cycles > stream.cycles
 
     def test_energy_counts_activations(self):
         dram = BankedDRAM()
-        one_row = dram.replay([Segment(0, 64)])
-        many_rows = dram.replay([Segment(i * 8192, 64) for i in range(8)])
+        one_row = dram.replay(Trace([0], [64]))
+        many_rows = dram.replay(Trace(np.arange(8) * 8192, np.full(8, 64)))
         assert many_rows.energy_pj > one_row.energy_pj
 
     def test_zero_length_segments_ignored(self):
-        res = BankedDRAM().replay([Segment(0, 0), Segment(64, 32)])
+        res = BankedDRAM().replay(Trace([0, 64], [0, 32]))
         assert res.accesses == 1
 
 
@@ -91,6 +90,17 @@ class TestFormatContrast:
         ddc, csr = _tbs_encodings(seed=1)
         dram = BankedDRAM()
         assert dram.replay_encoded(ddc).cycles < dram.replay_encoded(csr).cycles
+
+    def test_replay_encoded_follows_the_encoded_orientation(self):
+        """A transposed encoding replays its transposed trace -- the one
+        traffic_report analyses -- not the forward one."""
+        rng = np.random.default_rng(0)
+        sparse = rng.normal(size=(32, 32)) * (rng.random((32, 32)) < 0.25)
+        enc = CSRFormat().encode(sparse, EncodeSpec(block_size=8, orientation="transposed"))
+        dram = BankedDRAM()
+        replayed = dram.replay_encoded(enc)
+        assert replayed == dram.replay(enc.trace("transposed"))
+        assert replayed.accesses > dram.replay(enc.trace("forward")).accesses
 
     def test_trend_stable_across_sparsity(self):
         for sparsity in (0.5, 0.875):

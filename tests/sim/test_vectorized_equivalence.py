@@ -27,7 +27,7 @@ from repro.formats.base import (
     VALUE_BYTES,
     EncodedMatrix,
     EncodeSpec,
-    Segment,
+    Trace,
     apply_mask,
 )
 from repro.formats.csr import CSRFormat
@@ -122,7 +122,7 @@ def _csr_oracle(dense, block_size):
     col_idx = np.concatenate(col_parts).astype(np.int64)
     vals = np.concatenate(val_parts)
     elem_bytes = VALUE_BYTES + CSR_INDEX_BYTES
-    segments = []
+    addrs, sizes = [], []
     for idx in iter_blocks(rows, cols, block_size):
         for r in range(idx.r0, idx.r0 + idx.height):
             lo, hi = int(row_ptr[r]), int(row_ptr[r + 1])
@@ -130,7 +130,8 @@ def _csr_oracle(dense, block_size):
             start = lo + int(np.searchsorted(row_cols, idx.c0, side="left"))
             stop = lo + int(np.searchsorted(row_cols, idx.c0 + idx.width, side="left"))
             if stop > start:
-                segments.append(Segment(start * elem_bytes, (stop - start) * elem_bytes))
+                addrs.append(start * elem_bytes)
+                sizes.append((stop - start) * elem_bytes)
     nnz = int(vals.size)
     return EncodedMatrix(
         format_name="csr",
@@ -139,7 +140,7 @@ def _csr_oracle(dense, block_size):
         value_bytes=nnz * VALUE_BYTES,
         index_bytes=nnz * CSR_INDEX_BYTES,
         meta_bytes=(rows + 1) * CSR_PTR_BYTES,
-        segments=segments,
+        forward_trace=Trace(addrs, sizes),
         arrays={"row_ptr": row_ptr, "col_idx": col_idx, "values": vals},
     )
 
@@ -160,12 +161,13 @@ def _sdc_oracle(dense, block_size, group_rows):
         vals[r, : nz.size] = dense[r, nz]
         idxs[r, : nz.size] = nz
         valid[r, : nz.size] = True
-    segments = []
+    addrs, sizes = [], []
     addr = 0
     for r0 in range(0, rows, block_size):
         nbytes = int(sum(widths[r0 : r0 + block_size]) * (VALUE_BYTES + SDC_INDEX_BYTES))
         if nbytes:
-            segments.append(Segment(addr, nbytes))
+            addrs.append(addr)
+            sizes.append(nbytes)
         addr += nbytes
     stored = int(widths.sum())
     return EncodedMatrix(
@@ -175,7 +177,7 @@ def _sdc_oracle(dense, block_size, group_rows):
         value_bytes=stored * VALUE_BYTES,
         index_bytes=int(stored * SDC_INDEX_BYTES),
         meta_bytes=0,
-        segments=segments,
+        forward_trace=Trace(addrs, sizes),
         arrays={"values": vals, "indices": idxs, "valid": valid, "widths": widths},
     )
 
@@ -193,7 +195,7 @@ def _ddc_oracle(dense, m, tbs=None):
     rows, cols = dense.shape
     blocks = list(iter_blocks(rows, cols, m))
     info_bytes = len(blocks) * DDC_INFO_BYTES
-    segments = [Segment(0, info_bytes)] if info_bytes else []
+    addrs, sizes = ([0], [info_bytes]) if info_bytes else ([], [])
     metas, payload_vals, payload_idx = [], [], []
     offset = value_bytes = index_bytes = 0
     for bidx in blocks:
@@ -221,7 +223,8 @@ def _ddc_oracle(dense, m, tbs=None):
         payload_vals.append(vals)
         payload_idx.append(idxs)
         if v_bytes + i_bytes:
-            segments.append(Segment(info_bytes + offset, v_bytes + i_bytes))
+            addrs.append(info_bytes + offset)
+            sizes.append(v_bytes + i_bytes)
         offset += v_bytes + i_bytes
         value_bytes += v_bytes
         index_bytes += i_bytes
@@ -232,7 +235,7 @@ def _ddc_oracle(dense, m, tbs=None):
         value_bytes=value_bytes,
         index_bytes=index_bytes,
         meta_bytes=info_bytes,
-        segments=segments,
+        forward_trace=Trace(addrs, sizes),
         arrays={
             "block_meta": _object_array(metas),
             "block_values": _object_array(payload_vals),
@@ -385,7 +388,7 @@ def _assert_encoded_equal(a, b):
     assert a.value_bytes == b.value_bytes
     assert a.index_bytes == b.index_bytes
     assert a.meta_bytes == b.meta_bytes
-    assert a.segments == b.segments
+    assert a.forward_trace == b.forward_trace
     assert sorted(a.arrays) == sorted(b.arrays)
     for key in a.arrays:
         left, right = a.arrays[key], b.arrays[key]
